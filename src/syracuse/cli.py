@@ -41,7 +41,7 @@ def _tail_arg(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     parts = text.split(",")
-    if not all(p.isdigit() and int(p) >= 1 for p in parts):
+    if not all(p.isascii() and p.isdigit() and int(p) >= 1 for p in parts):
         raise argparse.ArgumentTypeError(f"tail must be comma-separated gaps >= 1: {text!r}")
     return tuple(int(p) for p in parts)
 
@@ -106,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--k-cap", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("dlog", help="discrete logarithm base 2 mod 3^b")
     p.add_argument("x", type=int)
@@ -231,7 +230,7 @@ def _run_dlog(args) -> dict:
 
 def _run_enum(args, fmt: str, out) -> int:
     cfg = EnumConfig(source=args.source, t=args.t, s=args.s, k_cap=args.k_cap)
-    records = (node_record(node) for node in iter_nodes(cfg, args.workers))
+    records = (node_record(node) for node in iter_nodes(cfg))
     if fmt == "jsonl":
         for rec in records:
             out.write(json.dumps(rec, separators=(",", ":")) + "\n")

@@ -6,12 +6,11 @@ source 1 the root's own loop branch (gap 2) is kept as an annotation
 rather than an edge, so the result is a genuine tree.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .caps import check_bits
-from .collatz import _require_odd, h_children, syracuse
+from .collatz import _require_odd, h_children
 from .tuples import VTuple
 
 
@@ -51,15 +50,35 @@ class EnumConfig:
         return range(start, hi + 1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class TreeNode:
-    """One enumerated value with the gap tuple of its run down to the source."""
+    """One enumerated value and the gap of its step onto the parent.
+
+    The root's gap is 0. The run's gap tuple is read off the parent
+    chain, and nodes compare by identity.
+    """
 
     value: int
-    vtuple: VTuple
+    gap: int
     depth: int
-    fertile: bool
-    parent: Optional["TreeNode"] = field(default=None, repr=False, compare=False)
+    parent: Optional["TreeNode"] = field(default=None, repr=False)
+
+    @property
+    def fertile(self) -> bool:
+        return self.value % 3 != 0
+
+    @property
+    def vtuple(self) -> VTuple:
+        return VTuple(self.depth, _gaps(self))
+
+
+def _gaps(node: TreeNode) -> tuple[int, ...]:
+    """Gaps (v1..vb) of the run from node down to the root."""
+    gaps = []
+    while node.parent is not None:
+        gaps.append(node.gap)
+        node = node.parent
+    return tuple(reversed(gaps))
 
 
 @dataclass(frozen=True)
@@ -78,52 +97,32 @@ class EnumTree:
         return [node.value for node in self.nodes]
 
 
-def _expand(node: TreeNode, cfg: EnumConfig) -> list[TreeNode]:
+def _expand(node: TreeNode, cfg: EnumConfig) -> Iterator[TreeNode]:
     if not node.fertile:
-        return []
-    out = []
+        return
     bits = node.value.bit_length()
     for k in cfg.gap_window(node.value, node.depth):
         check_bits(bits + k + 2, "tree expansion")
-        child = (node.value * 2**k - 1) // 3
-        out.append(
-            TreeNode(
-                value=child,
-                vtuple=VTuple(node.depth + 1, node.vtuple.v + (k,)),
-                depth=node.depth + 1,
-                fertile=child % 3 != 0,
-                parent=node,
-            )
-        )
-    return out
+        yield TreeNode((node.value * 2**k - 1) // 3, k, node.depth + 1, node)
 
 
-def iter_nodes(cfg: EnumConfig, workers: int = 1) -> Iterator[TreeNode]:
-    """Stream nodes in breadth-first order, each depth sorted by tuple.
+def iter_nodes(cfg: EnumConfig) -> Iterator[TreeNode]:
+    """Stream nodes in breadth-first order, each depth in tuple order.
 
-    Worker threads only split up the expansion of a frontier; the node
-    stream is identical for any worker count.
+    No sort is needed: the frontier is in tuple order and each parent
+    yields its children in increasing gap order.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    root = TreeNode(cfg.source, VTuple(0, ()), 0, cfg.source % 3 != 0, None)
+    root = TreeNode(cfg.source, 0, 0)
     yield root
     frontier = [root]
     for _ in range(cfg.t):
-        if workers > 1 and len(frontier) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                expanded = list(pool.map(lambda nd: _expand(nd, cfg), frontier))
-        else:
-            expanded = [_expand(nd, cfg) for nd in frontier]
-        children = [child for chunk in expanded for child in chunk]
-        children.sort(key=lambda nd: nd.vtuple.v)
-        yield from children
-        frontier = children
+        frontier = [child for node in frontier for child in _expand(node, cfg)]
+        yield from frontier
 
 
-def enumerate_tree(cfg: EnumConfig, workers: int = 1) -> EnumTree:
+def enumerate_tree(cfg: EnumConfig) -> EnumTree:
     """Materialize the bounded tree; the root loop at source 1 is a flag."""
-    return EnumTree(cfg, tuple(iter_nodes(cfg, workers)), cfg.source == 1)
+    return EnumTree(cfg, tuple(iter_nodes(cfg)), cfg.source == 1)
 
 
 def count_formula(t: int, s: int) -> int:
@@ -142,9 +141,11 @@ def count_formula(t: int, s: int) -> int:
 def verify_tree(tree: EnumTree) -> bool:
     """Structural soundness of an enumeration result.
 
-    Checks the root is the source with no parent, every other node has
-    exactly one parent and forward-maps onto it, and no value appears
-    twice (the loop at a source of 1 is an annotation, never an edge).
+    Checks the root is the source with no parent, every other node
+    forward-maps onto a parent listed before it, no value appears twice
+    (the loop at a source of 1 is an annotation, never an edge), and the
+    order is the enumeration's: parents in stream order, each one's
+    children by increasing gap. Reads only value, depth and parent.
     """
     nodes = tree.nodes
     if not nodes:
@@ -152,13 +153,24 @@ def verify_tree(tree: EnumTree) -> bool:
     root = nodes[0]
     if root.value != tree.config.source or root.parent is not None or root.depth != 0:
         return False
-    for node in nodes[1:]:
-        if node.parent is None:
+    at = 0  # position of the current parent; it only moves forward
+    last_gap = 0
+    for i in range(1, len(nodes)):
+        node = nodes[i]
+        parent = node.parent
+        if parent is not nodes[at]:
+            at += 1
+            while at < i and nodes[at] is not parent:
+                at += 1
+            if at == i:
+                return False
+            last_gap = 0
+        # one forward step by hand; a gap of at least 1 means the value is odd
+        m = 3 * node.value + 1
+        gap = (m & -m).bit_length() - 1
+        if gap <= last_gap or m >> gap != parent.value or node.depth != parent.depth + 1:
             return False
-        if syracuse(node.value) != node.parent.value:
-            return False
-        if node.depth != node.parent.depth + 1:
-            return False
+        last_gap = gap
     values = [node.value for node in nodes]
     return len(set(values)) == len(values)
 
@@ -193,6 +205,6 @@ def node_record(node: TreeNode) -> dict:
     return {
         "value": str(node.value),
         "depth": node.depth,
-        "tuple": str(node.vtuple),
+        "tuple": f"{node.depth}:" + ",".join(map(str, _gaps(node))),
         "fertile": node.fertile,
     }

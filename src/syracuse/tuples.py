@@ -110,14 +110,14 @@ def parse_vtuple(text: str) -> VTuple:
     head, sep, rest = text.partition(":")
     if not sep:
         raise TupleFormatError("missing ':' separator", len(text))
-    if not head.isdigit():
+    if not (head.isascii() and head.isdigit()):
         raise TupleFormatError("length before ':' must be a decimal integer", 0)
     b = int(head)
     gaps = []
     pos = len(head) + 1
     if rest:
         for part in rest.split(","):
-            if not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise TupleFormatError("gap must be a decimal integer", pos)
             if int(part) < 1:
                 raise TupleFormatError("gap must be >= 1", pos)

@@ -2,9 +2,11 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
+import syracuse
 from syracuse import SolveResult, cli, solver, tree
 
 
@@ -12,6 +14,18 @@ def run_cli(*argv):
     out = io.StringIO()
     code = cli.main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_module(*argv):
+    # the child must import the same syracuse as this process, installed or not
+    src = os.path.dirname(os.path.dirname(syracuse.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "syracuse.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def records(text):
@@ -38,6 +52,12 @@ class TestDecode:
         code, _ = run_cli("decode", "3:4,,2")
         assert code == 2
         assert "position" in capsys.readouterr().err
+
+    def test_non_ascii_digit_is_usage_error(self, capsys):
+        # '\u0664' is ARABIC-INDIC DIGIT FOUR: str.isdigit accepts it, the codec must not
+        code, out = run_cli("decode", "1:\u0664")
+        assert code == 2 and out == ""
+        assert "position 2" in capsys.readouterr().err
 
     def test_sourced(self):
         code, out = run_cli("decode", "1:1", "--source", "5")
@@ -117,6 +137,12 @@ class TestSolveAndAscend:
         (rec,) = records(out)
         assert code == 0 and rec["n"] == "3" and rec["v1_star"] == 1
 
+    def test_solve_v1_non_ascii_tail_is_usage_error(self):
+        # ARABIC-INDIC DIGIT THREE, SUPERSCRIPT TWO; each tail has the right length
+        for b, tail in (("2", "\u0663"), ("3", "1,\u00b2")):
+            code, out = run_cli("solve-v1", "--b", b, "--tail", tail)
+            assert code == 2 and out == ""
+
     def test_ascend_all_ones(self):
         code, out = run_cli("ascend", "all-ones", "--b", "5")
         (rec,) = records(out)
@@ -176,11 +202,9 @@ class TestEnum:
         assert recs[0] == {"value": "1", "depth": 0, "tuple": "0:", "fertile": True}
         assert recs[2]["fertile"] is False  # 21 is sterile
 
-    def test_sorted_and_deterministic_across_workers(self):
-        _, one = run_cli("enum", "--t", "3", "--s", "2")
-        _, four = run_cli("enum", "--t", "3", "--s", "2", "--workers", "4")
-        assert one == four
-        recs = records(one)
+    def test_stream_sorted_by_depth_then_tuple(self):
+        _, out = run_cli("enum", "--t", "3", "--s", "2")
+        recs = records(out)
 
         def gaps(rec):
             tail = rec["tuple"].partition(":")[2]
@@ -295,27 +319,15 @@ class TestUsage:
         code, _ = run_cli("--help")
         assert code == 0
 
-    def test_bad_worker_count(self):
-        code, _ = run_cli("enum", "--workers", "0")
-        assert code == 2
-
 
 class TestSubprocess:
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "syracuse.cli", "decode", "3:4,3,2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("decode", "3:4,3,2")
         assert proc.returncode == 0
         rec = json.loads(proc.stdout)
         assert rec["n"] == "17"
 
     def test_module_entry_point_domain_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "syracuse.cli", "decode", "2:3,1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("decode", "2:3,1")
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["code"] == "not_admissible"

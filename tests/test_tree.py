@@ -1,9 +1,10 @@
 """Bounded predecessor-tree enumeration and its breadth-first oracle."""
 
 import itertools
-import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syracuse import (
     CapExceeded,
@@ -73,15 +74,12 @@ class TestEnumerate:
         assert not tree.has_root_loop
 
     def test_sorted_by_depth_then_tuple(self):
-        tree = enumerate_tree(EnumConfig(source=1, t=3, s=2))
-        keys = [(node.depth, node.vtuple.v) for node in tree.nodes]
-        assert keys == sorted(keys)
-
-    def test_deterministic_across_workers(self):
-        cfg = EnumConfig(source=1, t=3, s=2)
-        one = "\n".join(json.dumps(node_record(n)) for n in enumerate_tree(cfg, 1).nodes)
-        four = "\n".join(json.dumps(node_record(n)) for n in enumerate_tree(cfg, 4).nodes)
-        assert one == four
+        # no sort runs: the order comes from expanding an ordered frontier
+        for source in (1, 5, 7):
+            for k_cap in (None, 9):
+                tree = enumerate_tree(EnumConfig(source=source, t=3, s=2, k_cap=k_cap))
+                keys = [(node.depth, node.vtuple.v) for node in tree.nodes]
+                assert keys == sorted(keys)
 
     def test_fertility_counts(self):
         # every expanded node yields 3s children, 2s of them fertile
@@ -133,27 +131,69 @@ class TestVerifyTree:
 
     def test_single_node_tree(self):
         cfg = EnumConfig(source=5, t=1, s=1)
-        root = TreeNode(5, VTuple(0, ()), 0, True, None)
+        root = TreeNode(5, 0, 0, None)
         assert verify_tree(EnumTree(cfg, (root,), False))
 
     def test_duplicate_value_fails(self):
         cfg = EnumConfig(source=1, t=1, s=1)
-        root = TreeNode(1, VTuple(0, ()), 0, True, None)
-        a = TreeNode(5, VTuple(1, (4,)), 1, True, root)
-        dup = TreeNode(5, VTuple(1, (6,)), 1, True, root)
+        root = TreeNode(1, 0, 0, None)
+        a = TreeNode(5, 4, 1, root)
+        dup = TreeNode(5, 6, 1, root)
         assert not verify_tree(EnumTree(cfg, (root, a, dup), True))
 
     def test_wrong_edge_fails(self):
         cfg = EnumConfig(source=1, t=1, s=1)
-        root = TreeNode(1, VTuple(0, ()), 0, True, None)
-        bad = TreeNode(7, VTuple(1, (4,)), 1, True, root)  # f(7) = 11, not 1
+        root = TreeNode(1, 0, 0, None)
+        bad = TreeNode(7, 4, 1, root)  # f(7) = 11, not 1
         assert not verify_tree(EnumTree(cfg, (root, bad), True))
 
     def test_orphan_fails(self):
         cfg = EnumConfig(source=1, t=1, s=1)
-        root = TreeNode(1, VTuple(0, ()), 0, True, None)
-        orphan = TreeNode(5, VTuple(1, (4,)), 1, True, None)
+        root = TreeNode(1, 0, 0, None)
+        orphan = TreeNode(5, 4, 1, None)
         assert not verify_tree(EnumTree(cfg, (root, orphan), True))
+
+    def test_swapped_siblings_fail(self):
+        tree = enumerate_tree(EnumConfig(source=1, t=1, s=1))
+        root, a, b, c = tree.nodes  # 5, 21 and 85 are all children of the root
+        assert not verify_tree(EnumTree(tree.config, (root, b, a, c), True))
+
+    def test_swapped_parents_fail(self):
+        tree = enumerate_tree(EnumConfig(source=1, t=2, s=1))
+        nodes = tree.nodes
+        assert [nd.parent.value for nd in nodes[4:]] == [5, 5, 5, 85, 85, 85]
+        swapped = nodes[:4] + nodes[7:] + nodes[4:7]  # the children of 85 first
+        assert not verify_tree(EnumTree(tree.config, swapped, True))
+
+    def test_node_form(self):
+        tree = enumerate_tree(EnumConfig(source=1, t=2, s=1))
+        node = next(nd for nd in tree.nodes if nd.value == 113)  # (85 * 2^2 - 1) / 3
+        assert (node.gap, node.depth, node.parent.value) == (2, 2, 85)
+        assert node.vtuple == VTuple(2, (8, 2))
+        assert node_record(node) == {"value": "113", "depth": 2, "tuple": "2:8,2", "fertile": True}
+        assert tree.root.vtuple == VTuple(0, ()) and node_record(tree.root)["tuple"] == "0:"
+
+
+SOURCES = [n for n in range(1, 60, 2) if n % 3]
+
+
+class TestStreamDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.sampled_from(SOURCES),
+        t=st.integers(1, 3),
+        s=st.integers(1, 2),
+        k_cap=st.none() | st.integers(1, 12),
+    )
+    def test_stream_against_sort_codec_and_bfs(self, source, t, s, k_cap):
+        cfg = EnumConfig(source=source, t=t, s=s, k_cap=k_cap)
+        nodes = enumerate_tree(cfg).nodes
+        keys = [(node.depth, node.vtuple.v) for node in nodes]
+        assert keys == sorted(keys)
+        for node in nodes:
+            assert decode(node.vtuple, source) == node.value
+        if k_cap is not None:
+            assert {node.value for node in nodes} == preimage_bfs(source, t, k_cap)
 
 
 class TestPreimageBfs:

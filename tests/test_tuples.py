@@ -70,6 +70,10 @@ class TestTextFormat:
             ("2:4,0", 4),      # zero gap
             ("3:4,3", 5),      # count mismatch
             ("1:", 2),         # missing gaps
+            ("1:\u00b2", 2),   # SUPERSCRIPT TWO: a Unicode digit, not a decimal one
+            ("\u00b2:1", 0),
+            ("1:\u0664", 2),   # ARABIC-INDIC DIGIT FOUR
+            ("2:4,\u0663", 4),
         ],
     )
     def test_errors_carry_position(self, text, position):
