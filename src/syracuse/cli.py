@@ -37,6 +37,15 @@ def _unlimited_int_strings():
         sys.set_int_max_str_digits(0)
 
 
+def _int_arg(text: str) -> int:
+    # int() would also take '+', surrounding spaces, '_' and non-ASCII
+    # digits; this grammar matches parse_vtuple and --tail.
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def _tail_arg(text: str) -> tuple[int, ...]:
     if not text:
         return ()
@@ -62,54 +71,54 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("jsonl", "table"), default="jsonl", help="output format"
     )
     parser.add_argument(
-        "--seed-cap", type=int, default=None, metavar="BITS",
+        "--seed-cap", type=_int_arg, default=None, metavar="BITS",
         help=f"exponent cap in bits (overrides ${ENV_EXP_CAP})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("traj", help="forward trajectory of an odd integer")
-    p.add_argument("n", type=int)
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("n", type=_int_arg)
+    p.add_argument("--max-steps", type=_int_arg, default=10**6)
 
     p = sub.add_parser("decode", help="odd integer for a gap tuple")
     p.add_argument("tuple", type=_tuple_arg, help="text form b:v1,...,vb")
-    p.add_argument("--source", type=int, default=1)
+    p.add_argument("--source", type=_int_arg, default=1)
 
     p = sub.add_parser("encode", help="gap tuple for an odd integer")
-    p.add_argument("n", type=int)
-    p.add_argument("--source", type=int, default=1)
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("n", type=_int_arg)
+    p.add_argument("--source", type=_int_arg, default=1)
+    p.add_argument("--max-steps", type=_int_arg, default=10**6)
 
     p = sub.add_parser("solve-v1", help="unique canonical first gap for a tail")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_int_arg, required=True)
     p.add_argument("--tail", type=_tail_arg, default=())
-    p.add_argument("--source", type=int, default=1)
+    p.add_argument("--source", type=_int_arg, default=1)
 
     p = sub.add_parser("ascend", help="ascending-run generators")
     mode = p.add_subparsers(dest="mode", required=True)
     q = mode.add_parser("all-ones", help="strictly ascending run into 1")
-    q.add_argument("--b", type=int, required=True)
+    q.add_argument("--b", type=_int_arg, required=True)
     q = mode.add_parser("family", help="explicit ascending family")
-    q.add_argument("--q", type=int, required=True)
-    q.add_argument("--p", type=int, required=True)
+    q.add_argument("--q", type=_int_arg, required=True)
+    q.add_argument("--p", type=_int_arg, required=True)
     q = mode.add_parser("constant-k", help="first-gap class for a constant tail")
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--source", type=int, default=1)
+    q.add_argument("--b", type=_int_arg, required=True)
+    q.add_argument("--k", type=_int_arg, required=True)
+    q.add_argument("--source", type=_int_arg, default=1)
     q = mode.add_parser("targets", help="constant-valuation target pairs")
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--b", type=_int_arg, required=True)
+    q.add_argument("--p", type=_int_arg, required=True)
+    q.add_argument("--k", type=_int_arg, required=True)
 
     p = sub.add_parser("enum", help="bounded predecessor tree, one node per line")
-    p.add_argument("--source", type=int, default=1)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--k-cap", type=int, default=None)
+    p.add_argument("--source", type=_int_arg, default=1)
+    p.add_argument("--t", type=_int_arg, default=1)
+    p.add_argument("--s", type=_int_arg, default=1)
+    p.add_argument("--k-cap", type=_int_arg, default=None)
 
     p = sub.add_parser("dlog", help="discrete logarithm base 2 mod 3^b")
-    p.add_argument("x", type=int)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("x", type=_int_arg)
+    p.add_argument("--b", type=_int_arg, required=True)
 
     p = sub.add_parser("verify", help="self-verification suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")

@@ -99,14 +99,28 @@ def trajectory(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajectory:
     if n == 1:
         return Trajectory((1,), 0, (), True)
     iterates = [n]
+    vals, last = _forward(n, 1, max_steps, iterates)
+    return Trajectory(tuple(iterates), len(vals), tuple(reversed(vals)), last == 1)
+
+
+def _forward(n: int, stop: int, max_steps: int, iterates: list | None = None):
+    """Step the Syracuse map from n until `stop` or 1, at most max_steps times.
+
+    Returns the valuations of the steps taken, in forward order, and
+    the value the run ended on. When `iterates` is a list, every value
+    reached before the end is appended to it.
+    """
     vals: list[int] = []
+    push = vals.append
+    keep = iterates is not None
     cur = n
     for _ in range(max_steps):
         m = 3 * cur + 1
         k = (m & -m).bit_length() - 1
-        vals.append(k)
+        push(k)
         cur = m >> k
-        if cur == 1:
-            return Trajectory(tuple(iterates), len(vals), tuple(reversed(vals)), True)
-        iterates.append(cur)
-    return Trajectory(tuple(iterates), len(vals), tuple(reversed(vals)), False)
+        if cur == stop or cur == 1:
+            break
+        if keep:
+            iterates.append(cur)
+    return vals, cur

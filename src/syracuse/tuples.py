@@ -11,7 +11,7 @@ equivalent runs keeps exactly one representative.
 from dataclasses import dataclass
 
 from .caps import check_bits
-from .collatz import DEFAULT_MAX_STEPS, _require_odd
+from .collatz import DEFAULT_MAX_STEPS, _forward, _require_odd
 from .errors import (
     CutoffReached,
     IndexOutOfRange,
@@ -62,23 +62,20 @@ class CanonicalTuple:
         if any(ci < 0 for ci in self.c):
             raise ValueError(f"shift counts must be nonnegative, got {self.c}")
         b = self.base.b
-        for i, v in enumerate(self.base.v, start=1):
+        for i, v, m in zip(range(b, 0, -1), reversed(self.base.v), _moduli_from_last(b)):
             # first-gap window depends on the source; 2*3^(b-1)+2 is the
             # loosest bound, the deeper windows are source-independent
-            limit = gap_modulus(b, i) + (2 if i == 1 else 0)
-            if v > limit:
+            if v > (m + 2 if i == 1 else m):
                 raise ValueError(f"gap v{i}={v} outside its canonical window")
 
     def original(self) -> VTuple:
         """Rebuild the tuple this was reduced from: v_i + 2*3^(b-i)*c_i."""
         b = self.base.b
-        return VTuple(
-            b,
-            tuple(
-                v + gap_modulus(b, i) * ci
-                for i, (v, ci) in enumerate(zip(self.base.v, self.c), start=1)
-            ),
-        )
+        last_first = [
+            v + m * ci
+            for v, ci, m in zip(reversed(self.base.v), reversed(self.c), _moduli_from_last(b))
+        ]
+        return VTuple(b, tuple(reversed(last_first)))
 
 
 @dataclass(frozen=True)
@@ -141,23 +138,53 @@ def to_exponents(t: VTuple) -> tuple[int, tuple[int, ...]]:
     return a, tuple(u)
 
 
+def _power_sum(v: tuple[int, ...]) -> int:
+    """sum_i 2^(u_i) * 3^(i-1) for gaps v, by binary splitting.
+
+    A block of consecutive terms i = lo..hi is a pair (S, lead): S is
+    sum 2^(u_i - u_hi) * 3^(i - lo) and lead = u_(lo-1) - u_hi is the
+    sum of the block's gaps (u_0 = a). Neighbours L, R merge into
+    ((S_L << lead_R) + 3^len(L) * S_R, lead_L + lead_R). Pairing from
+    the left makes every left block of a round 2^r terms long, so
+    3^len(L) is one power per round, squared between rounds. The
+    products stay balanced: O(M(a) log b) in place of b full-size ones.
+    """
+    blocks = [(1, gap) for gap in v]
+    pow3 = 3
+    while len(blocks) > 1:
+        merged = [
+            ((s_l << lead_r) + pow3 * s_r, lead_l + lead_r)
+            for (s_l, lead_l), (s_r, lead_r) in zip(blocks[::2], blocks[1::2])
+        ]
+        if len(blocks) % 2:
+            merged.append(blocks[-1])
+        blocks = merged
+        pow3 *= pow3
+    return blocks[0][0] if blocks else 0
+
+
 def decode(t: VTuple, source: int = 1) -> int:
     """The odd integer whose b-step run to `source` has gaps t.
 
-    Evaluates (source*2^a - sum_i 2^(u_i) * 3^(i-1)) / 3^b exactly. A
-    failed division, or a nonpositive quotient, means no such run
-    exists: NotAdmissible. The division is checked once at full depth;
-    intermediate integrality is implied.
+    Evaluates (source*2^a - sum_i 2^(u_i) * 3^(i-1)) / 3^b exactly, in
+    this order: the bit cap on a, the power sum by binary splitting
+    over the gaps (_power_sum), then one division by 3^b. A failed
+    division, or a nonpositive quotient, means no such run exists:
+    NotAdmissible. One check at full depth suffices: stepping forward
+    from the start n, each value of the run is (3m + 1)/2^v of the one
+    before it, so once n is an integer every later value is an integer
+    over a power of two; the closed form of the same value, taken from
+    the source end, has a power of three as its denominator; so each
+    is an integer.
     """
     _require_source(source)
-    a, u = to_exponents(t)
+    a = sum(t.v)
     check_bits(a + source.bit_length() + 2, "decode")
-    s = sum(2 ** u[i] * 3**i for i in range(t.b))
-    num = source * 2**a - s
-    den = 3**t.b
-    if num <= 0 or num % den:
+    num = (source << a) - _power_sum(t.v)
+    q, r = divmod(num, 3**t.b)
+    if num <= 0 or r:
         raise NotAdmissible(f"{format_vtuple(t)} does not decode at source {source}")
-    return num // den
+    return q
 
 
 def is_admissible(t: VTuple, source: int = 1) -> bool:
@@ -180,25 +207,25 @@ def encode(n: int, source: int = 1, max_steps: int = DEFAULT_MAX_STEPS) -> VTupl
     _require_source(source)
     if n == source:
         return VTuple(0, ())
-    gaps: list[int] = []
-    cur = n
-    for _ in range(max_steps):
-        m = 3 * cur + 1
-        k = (m & -m).bit_length() - 1
-        gaps.append(k)
-        cur = m >> k
-        if cur == source:
-            return VTuple(len(gaps), tuple(reversed(gaps)))
-        if cur == 1:
-            raise SourceNotOnTrajectory(
-                f"run from {n} reached 1 without passing source {source}"
-            )
+    gaps, last = _forward(n, source, max_steps)
+    if last == source:
+        return VTuple(len(gaps), tuple(reversed(gaps)))
+    if last == 1 and gaps:  # with max_steps < 1 no step is taken: a cutoff
+        raise SourceNotOnTrajectory(f"run from {n} reached 1 without passing source {source}")
     raise CutoffReached(f"no run from {n} to {source} within {max_steps} steps")
 
 
 def gap_modulus(b: int, i: int) -> int:
     """Modulus 2*3^(b-i) of the admissibility class of gap i (1-based)."""
     return 2 * 3 ** (b - i)
+
+
+def _moduli_from_last(b: int):
+    """gap_modulus(b, i) for i = b, b-1, ..., 1: 2, then times 3 per gap."""
+    m = 2
+    for _ in range(b):
+        yield m
+        m *= 3
 
 
 def canonical_v1(v1_class: int, b: int, source: int = 1) -> int:
@@ -234,10 +261,9 @@ def canonicalize(t: VTuple, source: int = 1) -> CanonicalTuple:
         return CanonicalTuple(t, ())
     base = list(t.v)
     counts = [0] * t.b
-    for i in range(2, t.b + 1):
-        m = gap_modulus(t.b, i)
-        w = 1 + (t.v[i - 1] - 1) % m
-        base[i - 1], counts[i - 1] = w, (t.v[i - 1] - w) // m
+    for i, m in zip(range(t.b - 1, 0, -1), _moduli_from_last(t.b)):
+        w = 1 + (t.v[i] - 1) % m
+        base[i], counts[i] = w, (t.v[i] - w) // m
     m1 = gap_modulus(t.b, 1)
     w1 = canonical_v1(t.v[0] % m1, t.b, source)
     c1 = (t.v[0] - w1) // m1

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import syracuse
 from syracuse import SolveResult, cli, solver, tree
 
@@ -318,6 +320,31 @@ class TestUsage:
     def test_help_exits_zero(self):
         code, _ = run_cli("--help")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("traj", "1_5_1"),                 # int() reads this as 151
+            ("enum", "--t", "\u0662"),    # ARABIC-INDIC DIGIT TWO
+            ("traj", "+7"),
+            ("traj", " 7"),
+            ("encode", "17", "--source", "5_"),
+            ("dlog", "\u00b2", "--b", "2"),  # SUPERSCRIPT TWO
+            ("--seed-cap", "1e3", "traj", "7"),
+            ("traj", "-"),
+        ],
+    )
+    def test_integer_arguments_take_ascii_digits_only(self, argv, capsys):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "invalid integer" in capsys.readouterr().err
+
+    def test_negative_integer_reaches_range_check(self, capsys):
+        code, out = run_cli("traj", "-3")
+        assert code == 2 and out == ""
+        assert "n must be >= 1, got -3" in capsys.readouterr().err
+        code, out = run_cli("dlog", "-5", "--b", "3")
+        assert code == 0 and records(out)[0]["x"] == 22
 
 
 class TestSubprocess:

@@ -1,6 +1,8 @@
 """Gap-tuple codec: decode, encode, canonical windows, shifts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syracuse import (
     CanonicalTuple,
@@ -13,10 +15,12 @@ from syracuse import (
     SourceNotOnTrajectory,
     TupleFormatError,
     VTuple,
+    canonical_v1,
     canonicalize,
     decode,
     encode,
     format_vtuple,
+    gap_modulus,
     is_admissible,
     parse_vtuple,
     shift,
@@ -24,7 +28,7 @@ from syracuse import (
     to_exponents,
     trajectory,
 )
-from syracuse.caps import capped
+from syracuse.caps import DEFAULT_EXP_CAP, capped, check_bits
 
 TABLE_B3 = [
     (4, 3, 2), (4, 5, 1), (8, 2, 1), (8, 6, 2), (10, 1, 1), (10, 5, 2),
@@ -171,10 +175,14 @@ class TestEncode:
     def test_source_not_on_trajectory(self):
         with pytest.raises(SourceNotOnTrajectory):
             encode(17, source=7)
+        with pytest.raises(SourceNotOnTrajectory):
+            encode(1, source=5)
 
     def test_cutoff(self):
         with pytest.raises(CutoffReached):
             encode(27, max_steps=5)
+        with pytest.raises(CutoffReached):
+            encode(1, source=5, max_steps=0)
 
     def test_matches_trajectory_gaps(self):
         for n in range(1, 500, 2):
@@ -349,3 +357,120 @@ class TestSourcedTuple:
     def test_validation(self):
         with pytest.raises(SourceDivisibleBy3):
             SourcedTuple(9, vt(2))
+
+
+# ---------------------------------------------------------------- differential
+# References: the term-by-term closed form decode and the per-index
+# gap_modulus windows that the library evaluated before binary splitting
+# and incremental window moduli.
+
+SOURCES = (1, 5, 7, 11)
+
+
+def reference_decode(t, source=1):
+    a, u = to_exponents(t)
+    check_bits(a + source.bit_length() + 2, "decode")
+    num = source * 2**a - sum(2 ** u[i] * 3**i for i in range(t.b))
+    den = 3**t.b
+    if num <= 0 or num % den:
+        raise NotAdmissible(f"{format_vtuple(t)} does not decode at source {source}")
+    return num // den
+
+
+def reference_canonicalize(t, source=1):
+    """(base gaps, counts) of the reduction; raises NotAdmissible where the library does."""
+    reference_decode(t, source)
+    base, counts = list(t.v), [0] * t.b
+    for i in range(2, t.b + 1):
+        m = gap_modulus(t.b, i)
+        w = 1 + (t.v[i - 1] - 1) % m
+        base[i - 1], counts[i - 1] = w, (t.v[i - 1] - w) // m
+    if t.b:
+        m1 = gap_modulus(t.b, 1)
+        w1 = canonical_v1(t.v[0] % m1, t.b, source)
+        if t.v[0] < w1:
+            raise NotAdmissible("root loop")
+        base[0], counts[0] = w1, (t.v[0] - w1) // m1
+    return tuple(base), tuple(counts)
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (NotAdmissible, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sourced_tuples(draw, max_b=30):
+    """(source, tuple): free gaps, or an admissible run walked up from the source."""
+    source = draw(st.sampled_from(SOURCES))
+    if draw(st.booleans()):
+        return source, VTuple.from_gaps(draw(st.lists(st.integers(1, 40), max_size=max_b)))
+    gaps, cur = [], source
+    for _ in range(draw(st.integers(0, max_b))):
+        if cur % 3 == 0:
+            break
+        k = 2 * draw(st.integers(0, 12)) + (2 if cur % 3 == 1 else 1)
+        gaps.append(k)
+        cur = (cur * 2**k - 1) // 3
+    return source, VTuple.from_gaps(gaps)
+
+
+class TestDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sourced_tuples(), cap=st.sampled_from((DEFAULT_EXP_CAP, 48)))
+    def test_decode_matches_closed_form(self, case, cap):
+        source, t = case
+        with capped(cap):
+            assert outcome(decode, t, source) == outcome(reference_decode, t, source)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**2047 - 1))
+    def test_round_trip_large_odd(self, k):
+        n = 2 * k + 1
+        assert decode(encode(n)) == n
+
+    def test_deep_round_trip(self):
+        n = 2**20000 - 1
+        t = encode(n)
+        assert t.b == 96987
+        assert decode(t) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sourced_tuples(max_b=12), shifts=st.lists(st.integers(0, 3), max_size=12))
+    def test_canonicalize_matches_per_index_windows(self, case, shifts):
+        source, t = case
+        # push gaps above their windows by whole moduli
+        t = VTuple.from_gaps(
+            v + gap_modulus(t.b, i) * c
+            for i, (v, c) in enumerate(zip(t.v, shifts + [0] * t.b), start=1)
+        )
+        want = outcome(reference_canonicalize, t, source)
+        got = outcome(canonicalize, t, source)
+        if want[0] == "ok":
+            assert got[0] == "ok"
+            assert (got[1].base.v, got[1].c) == want[1]
+            assert got[1].original() == t
+        else:
+            assert got[0] == want[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.lists(st.integers(1, 60), max_size=5),
+        counts=st.lists(st.integers(0, 3), max_size=5),
+    )
+    def test_canonical_tuple_window_and_original(self, base, counts):
+        b = len(base)
+        c = tuple((counts + [0] * b)[:b])
+        inside = all(
+            v <= gap_modulus(b, i) + (2 if i == 1 else 0) for i, v in enumerate(base, start=1)
+        )
+        if not inside:
+            with pytest.raises(ValueError, match="outside its canonical window"):
+                CanonicalTuple(VTuple(b, base), c)
+            return
+        ct = CanonicalTuple(VTuple(b, base), c)
+        assert ct.original().v == tuple(
+            v + gap_modulus(b, i) * ci for i, (v, ci) in enumerate(zip(base, c), start=1)
+        )
